@@ -1238,8 +1238,15 @@ fn main() {
     let mut json = String::new();
     json.push_str("{\n");
     let _ = writeln!(json, "  \"bench\": \"sim_core\",");
-    let _ = writeln!(json, "  \"schema_version\": 5,");
+    let _ = writeln!(json, "  \"schema_version\": 6,");
     let _ = writeln!(json, "  \"scale\": {scale},");
+    // Wall numbers mean little without the host that produced them.
+    let nproc = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let _ = writeln!(
+        json,
+        "  \"host\": {{\"nproc\": {nproc}, \"rustc\": \"{}\"}},",
+        env!("HM_RUSTC_VERSION")
+    );
     let _ = writeln!(json, "  \"latency_anatomy\": {lat_json},");
     let _ = writeln!(json, "  \"parallel_scaling\": {par_json},");
     let _ = writeln!(json, "  \"model_check\": {mc_json},");

@@ -73,6 +73,27 @@ impl RuntimeConfig {
 struct NodeState {
     group: TaskGroup,
     up: Cell<bool>,
+    /// Attempts dispatched to the node and not yet finished, crashed or
+    /// dropped. Each holds at most one registration in `group`.
+    attempts: Cell<usize>,
+}
+
+/// Counts one attempt against its node for as long as it is alive, so an
+/// attempt dropped with its caller (a cancelled parent's inline child) is
+/// uncounted too.
+struct LiveAttempt<'a>(&'a Cell<usize>);
+
+impl<'a> LiveAttempt<'a> {
+    fn enter(attempts: &'a Cell<usize>) -> LiveAttempt<'a> {
+        attempts.set(attempts.get() + 1);
+        LiveAttempt(attempts)
+    }
+}
+
+impl Drop for LiveAttempt<'_> {
+    fn drop(&mut self) {
+        self.0.set(self.0.get() - 1);
+    }
 }
 
 struct RuntimeInner {
@@ -112,6 +133,7 @@ impl Runtime {
                     .map(|_| NodeState {
                         group: TaskGroup::new(),
                         up: Cell::new(true),
+                        attempts: Cell::new(0),
                     })
                     .collect(),
                 config: Cell::new(config),
@@ -443,10 +465,13 @@ impl Runtime {
             // surfaces as a retryable `NodeCrashed`. Never-cancelled groups
             // poll the inner future directly — scheduling is bit-identical
             // to the pre-chaos runtime.
-            let result = match self.inner.nodes[node.0 as usize].group.run(once).await {
+            let state = &self.inner.nodes[node.0 as usize];
+            let live = LiveAttempt::enter(&state.attempts);
+            let result = match state.group.run(once).await {
                 Ok(inner) => inner,
                 Err(_cancelled) => Err(HmError::NodeCrashed { node }),
             };
+            drop(live);
             done.set(true);
             match result {
                 Ok(v) => return Ok(v),
@@ -527,5 +552,129 @@ impl std::fmt::Debug for Runtime {
             self.invocations(),
             self.retries()
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::rc::Rc;
+    use std::time::Duration;
+
+    use halfmoon::{Client, FaultPolicy, ProtocolKind};
+    use hm_common::latency::LatencyModel;
+    use hm_common::{Key, NodeId, Value};
+    use hm_substrate::sim::Sim;
+
+    use super::*;
+    use crate::{Gateway, GcDriver, LoadSpec};
+
+    const KEYS: u32 = 16;
+
+    /// Per node: `(registered, live attempts)` of its failure domain.
+    fn node_counts(rt: &Runtime) -> Vec<(usize, usize)> {
+        rt.inner
+            .nodes
+            .iter()
+            .map(|n| (n.group.registered(), n.attempts.get()))
+            .collect()
+    }
+
+    /// Long open-loop run with GC, per-attempt crashes, a node
+    /// crash/recover cycle and inline child invocations. A node's group
+    /// must hold at most one registration per live attempt on the node at
+    /// every sampled instant, and none once the run has drained: the cost
+    /// of a failure domain follows live work, not work ever run.
+    #[test]
+    fn task_group_registrations_stay_bounded_by_live_attempts() {
+        let mut sim = Sim::new(0x50a4);
+        let client = Client::builder(sim.ctx())
+            .model(LatencyModel::uniform_test_model())
+            .protocol(ProtocolKind::HalfmoonRead)
+            .faults(FaultPolicy::per_attempt(0.1, 30, u32::MAX))
+            .build();
+        for k in 0..KEYS {
+            client.populate(Key::new(format!("k{k}")), Value::Int(0));
+        }
+        let config = RuntimeConfig {
+            nodes: 4,
+            ..RuntimeConfig::default()
+        };
+        let runtime = Runtime::new(client.clone(), config);
+        runtime.register("rw", |env, input| {
+            Box::pin(async move {
+                let key = Key::new(input.as_str().unwrap_or("k0").to_string());
+                let v = env.read(&key).await?.as_int().unwrap_or(0);
+                env.write(&key, Value::Int(v + 1)).await?;
+                Ok(Value::Null)
+            })
+        });
+        runtime.register("parent", |env, input| {
+            Box::pin(async move {
+                env.invoke("rw", input.clone()).await?;
+                env.invoke("rw", input).await
+            })
+        });
+        let gc = GcDriver::start(client, NodeId(7), Duration::from_millis(200));
+        let ctx = sim.ctx();
+
+        let done = Rc::new(Cell::new(false));
+        let peak = Rc::new(Cell::new(0usize));
+        {
+            let rt = runtime.clone();
+            let ctx2 = ctx.clone();
+            let done = done.clone();
+            let peak = peak.clone();
+            ctx.spawn(async move {
+                while !done.get() {
+                    for (node, (registered, attempts)) in node_counts(&rt).into_iter().enumerate() {
+                        assert!(
+                            registered <= attempts,
+                            "node {node} at {:?}: {registered} registrations \
+                             for {attempts} live attempts",
+                            ctx2.now()
+                        );
+                        peak.set(peak.get().max(registered));
+                    }
+                    ctx2.sleep(Duration::from_millis(1)).await;
+                }
+            });
+        }
+        {
+            let rt = runtime.clone();
+            let ctx2 = ctx.clone();
+            ctx.spawn(async move {
+                ctx2.sleep(Duration::from_millis(1500)).await;
+                rt.crash_node(NodeId(1));
+                ctx2.sleep(Duration::from_millis(300)).await;
+                rt.recover_node(NodeId(1));
+            });
+        }
+        let gateway = Gateway::new(runtime.clone());
+        let spec = LoadSpec {
+            rate_per_sec: 300.0,
+            duration: Duration::from_secs(4),
+            warmup: Duration::from_millis(500),
+            factory: Rc::new(|rng, _| {
+                use rand::RngExt;
+                let k: u32 = rng.random_range(0..KEYS);
+                let func = if rng.random_bool(0.3) { "parent" } else { "rw" };
+                (func.to_string(), Value::str(format!("k{k}")))
+            }),
+        };
+        let report = sim.block_on(async move { gateway.run_open_loop(spec).await });
+        done.set(true);
+        gc.stop();
+        sim.run();
+
+        assert!(report.completed > 1000, "completed {}", report.completed);
+        assert_eq!(report.errors, 0);
+        assert!(runtime.retries() > 0, "per-attempt crashes must fire");
+        assert_eq!(runtime.node_crashes(), 1);
+        assert!(gc.cycles() > 0);
+        assert!(peak.get() > 0, "sampler must see parked attempts");
+        for (node, (registered, attempts)) in node_counts(&runtime).into_iter().enumerate() {
+            assert_eq!(attempts, 0, "node {node}: attempts left after drain");
+            assert_eq!(registered, 0, "node {node}: registrations left after drain");
+        }
     }
 }

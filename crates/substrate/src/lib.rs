@@ -159,39 +159,6 @@ impl std::fmt::Display for BackendKind {
     }
 }
 
-#[cfg(test)]
-mod backend_kind_tests {
-    use super::BackendKind;
-
-    #[test]
-    fn from_str_round_trips_every_spelling() {
-        for (name, want) in [
-            ("sim", BackendKind::Sim),
-            ("wall", BackendKind::Wall),
-            ("tokio", BackendKind::Wall),
-            ("parallel", BackendKind::Parallel),
-            ("par", BackendKind::Parallel),
-        ] {
-            let parsed: BackendKind = name.parse().unwrap();
-            assert_eq!(parsed, want, "{name}");
-            // Display output re-parses to the same backend: aliases
-            // normalize ("tokio" -> Wall -> "wall" -> Wall).
-            assert_eq!(parsed.to_string().parse::<BackendKind>(), Ok(parsed));
-        }
-        assert!("threads".parse::<BackendKind>().is_err());
-        let err = "x".parse::<BackendKind>().unwrap_err();
-        assert!(err.to_string().contains("alias: tokio"), "{err}");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_parse_shim_matches_from_str() {
-        assert_eq!(BackendKind::parse("tokio"), Some(BackendKind::Wall));
-        assert_eq!(BackendKind::parse("parallel"), Some(BackendKind::Parallel));
-        assert_eq!(BackendKind::parse("nope"), None);
-    }
-}
-
 /// Read the substrate's clock and schedule against it.
 ///
 /// Contract (what alternate backends must honor; the sync-contract tests
@@ -256,4 +223,37 @@ pub trait TaskHandle<T>: Future<Output = T> {
 pub trait RngSource: Clone {
     /// Runs `f` with the substrate RNG.
     fn with_rng<T>(&self, f: impl FnOnce(&mut SmallRng) -> T) -> T;
+}
+
+#[cfg(test)]
+mod backend_kind_tests {
+    use super::BackendKind;
+
+    #[test]
+    fn from_str_round_trips_every_spelling() {
+        for (name, want) in [
+            ("sim", BackendKind::Sim),
+            ("wall", BackendKind::Wall),
+            ("tokio", BackendKind::Wall),
+            ("parallel", BackendKind::Parallel),
+            ("par", BackendKind::Parallel),
+        ] {
+            let parsed: BackendKind = name.parse().unwrap();
+            assert_eq!(parsed, want, "{name}");
+            // Display output re-parses to the same backend: aliases
+            // normalize ("tokio" -> Wall -> "wall" -> Wall).
+            assert_eq!(parsed.to_string().parse::<BackendKind>(), Ok(parsed));
+        }
+        assert!("threads".parse::<BackendKind>().is_err());
+        let err = "x".parse::<BackendKind>().unwrap_err();
+        assert!(err.to_string().contains("alias: tokio"), "{err}");
+    }
+
+    #[test]
+    #[allow(deprecated)]
+    fn deprecated_parse_shim_matches_from_str() {
+        assert_eq!(BackendKind::parse("tokio"), Some(BackendKind::Wall));
+        assert_eq!(BackendKind::parse("parallel"), Some(BackendKind::Parallel));
+        assert_eq!(BackendKind::parse("nope"), None);
+    }
 }

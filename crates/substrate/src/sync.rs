@@ -17,11 +17,12 @@
 //!   batch learns of completion from the same storage acknowledgement.
 //!
 //! The ordering guarantees (FIFO semaphore grants, registration-order gate
-//! release) are part of the substrate contract; `tests/sync_contracts.rs`
-//! is the executable spec every backend must pass.
+//! release, first-registration-order group cancellation) are part of the
+//! substrate contract; `tests/sync_contracts.rs` is the executable spec
+//! every backend must pass.
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -561,7 +562,13 @@ struct GroupState {
     /// epoch are woken on cancel and re-check the flag, so a stale waker
     /// can never observe a later epoch's cancellation as its own.
     epoch: u64,
-    wakers: Vec<Waker>,
+    /// One entry per live, parked [`RunCancellable`]/[`CancelledFut`],
+    /// keyed by first registration. Keys only grow (across epochs too), so
+    /// iteration order is first-registration order and a future whose key
+    /// was taken by [`TaskGroup::cancel`] or cleared by [`TaskGroup::reset`]
+    /// can never collide with a later one.
+    wakers: BTreeMap<u64, Waker>,
+    next_key: u64,
 }
 
 /// A cancellable group of cooperating futures.
@@ -595,7 +602,8 @@ impl TaskGroup {
             state: Rc::new(RefCell::new(GroupState {
                 cancelled: false,
                 epoch: 0,
-                wakers: Vec::new(),
+                wakers: BTreeMap::new(),
+                next_key: 0,
             })),
         }
     }
@@ -609,12 +617,21 @@ impl TaskGroup {
             st.cancelled = true;
             std::mem::take(&mut st.wakers)
         };
-        for w in wakers {
-            w.wake();
+        // Child invocations run inline in their parent's task, so one task
+        // can hold nested `run`s of the same group: wake it once, at its
+        // first registration.
+        let mut woken: Vec<Waker> = Vec::with_capacity(wakers.len());
+        for w in wakers.into_values() {
+            if !woken.iter().any(|seen| seen.will_wake(&w)) {
+                w.wake_by_ref();
+                woken.push(w);
+            }
         }
     }
 
-    /// Re-arms a cancelled group (the failure domain recovered).
+    /// Re-arms a cancelled group (the failure domain recovered). Clears
+    /// every registration; a future still parked re-registers, under a
+    /// fresh key, at its next poll.
     pub fn reset(&self) {
         let mut st = self.state.borrow_mut();
         st.cancelled = false;
@@ -635,6 +652,7 @@ impl TaskGroup {
         RunCancellable {
             group: self.clone(),
             fut: Some(Box::pin(fut)),
+            key: None,
         }
     }
 
@@ -644,13 +662,42 @@ impl TaskGroup {
     pub fn cancelled(&self) -> CancelledFut {
         CancelledFut {
             group: self.clone(),
+            key: None,
         }
     }
 
-    fn register(&self, waker: &Waker) {
+    /// Number of registered wakers: parked futures of the group that have
+    /// not completed, been cancelled or been dropped (test/introspection
+    /// helper).
+    #[must_use]
+    pub fn registered(&self) -> usize {
+        self.state.borrow().wakers.len()
+    }
+
+    /// Parks `waker` under `*key`, updating the entry in place on a re-poll.
+    /// A missing entry — first poll, or taken by `cancel`/`reset` since —
+    /// is re-inserted under a fresh key. No dedupe across keys: an inner
+    /// `run` that shares its outer `run`'s task must not stand in for it,
+    /// since the inner one may complete first.
+    fn register(&self, key: &mut Option<u64>, waker: &Waker) {
         let mut st = self.state.borrow_mut();
-        if !st.wakers.iter().any(|w| w.will_wake(waker)) {
-            st.wakers.push(waker.clone());
+        if let Some(slot) = key.and_then(|k| st.wakers.get_mut(&k)) {
+            if !slot.will_wake(waker) {
+                slot.clone_from(waker);
+            }
+            return;
+        }
+        let k = st.next_key;
+        st.next_key += 1;
+        st.wakers.insert(k, waker.clone());
+        *key = Some(k);
+    }
+
+    fn unregister(&self, key: &mut Option<u64>) {
+        if let Some(k) = key.take() {
+            // Bound first so the waker drops after the borrow ends.
+            let waker = self.state.borrow_mut().wakers.remove(&k);
+            drop(waker);
         }
     }
 }
@@ -670,50 +717,71 @@ impl std::fmt::Debug for TaskGroup {
 pub struct RunCancellable<F: Future> {
     group: TaskGroup,
     fut: Option<Pin<Box<F>>>,
+    /// This future's registration in the group's waker map.
+    key: Option<u64>,
 }
 
 impl<F: Future> Future for RunCancellable<F> {
     type Output = Result<F::Output, Cancelled>;
 
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        if self.group.is_cancelled() {
+        let this = &mut *self;
+        if this.group.is_cancelled() {
             // Drop the inner future now: teardown happens at the
             // cancellation instant, not when the wrapper is dropped.
-            self.fut = None;
+            this.fut = None;
+            this.group.unregister(&mut this.key);
             return Poll::Ready(Err(Cancelled));
         }
-        let fut = self
+        let fut = this
             .fut
             .as_mut()
             .expect("RunCancellable polled after completion");
         match fut.as_mut().poll(cx) {
             Poll::Ready(v) => {
-                self.fut = None;
+                this.fut = None;
+                this.group.unregister(&mut this.key);
                 Poll::Ready(Ok(v))
             }
             Poll::Pending => {
-                self.group.register(cx.waker());
+                this.group.register(&mut this.key, cx.waker());
                 Poll::Pending
             }
         }
     }
 }
 
+impl<F: Future> Drop for RunCancellable<F> {
+    fn drop(&mut self) {
+        self.group.unregister(&mut self.key);
+    }
+}
+
 /// Future returned by [`TaskGroup::cancelled`].
 pub struct CancelledFut {
     group: TaskGroup,
+    /// This future's registration in the group's waker map.
+    key: Option<u64>,
 }
 
 impl Future for CancelledFut {
     type Output = ();
 
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        if self.group.is_cancelled() {
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        let this = &mut *self;
+        if this.group.is_cancelled() {
+            this.group.unregister(&mut this.key);
             Poll::Ready(())
         } else {
-            self.group.register(cx.waker());
+            this.group.register(&mut this.key, cx.waker());
             Poll::Pending
         }
+    }
+}
+
+impl Drop for CancelledFut {
+    fn drop(&mut self) {
+        self.group.unregister(&mut self.key);
     }
 }
 
@@ -1082,5 +1150,144 @@ mod tests {
         let g = group;
         let mut sim2 = Sim::new(2);
         sim2.block_on(async move { g.cancelled().await });
+    }
+
+    #[test]
+    fn task_group_registration_ends_with_the_future() {
+        let mut sim = Sim::new(1);
+        let ctx = sim.ctx();
+        let group = TaskGroup::new();
+        // Completed: registered while parked, released on `Ready(Ok)`.
+        {
+            let group = group.clone();
+            let ctx2 = ctx.clone();
+            ctx.spawn(async move {
+                let _ = group.run(ctx2.sleep(Duration::from_millis(3))).await;
+            });
+        }
+        sim.run_for(Duration::from_millis(1));
+        assert_eq!(group.registered(), 1);
+        sim.run();
+        assert_eq!(group.registered(), 0, "completed run must unregister");
+
+        // Dropped: polled once (parked), then dropped mid-flight.
+        {
+            let group = group.clone();
+            let ctx2 = ctx.clone();
+            ctx.spawn(async move {
+                futures_poll_once(group.run(ctx2.sleep(Duration::from_secs(60)))).await;
+                futures_poll_once(group.cancelled()).await;
+                assert_eq!(group.registered(), 0, "dropped futures must unregister");
+            });
+        }
+        sim.run();
+        assert_eq!(group.registered(), 0);
+
+        // Cancelled: two parked runs and one `cancelled()` waiter.
+        let done = Rc::new(Cell::new(0u32));
+        for _ in 0..2 {
+            let group = group.clone();
+            let ctx2 = ctx.clone();
+            let done = done.clone();
+            ctx.spawn(async move {
+                let got = group.run(ctx2.sleep(Duration::from_secs(60))).await;
+                assert_eq!(got, Err(Cancelled));
+                done.set(done.get() + 1);
+            });
+        }
+        {
+            let group = group.clone();
+            let done = done.clone();
+            ctx.spawn(async move {
+                group.cancelled().await;
+                done.set(done.get() + 1);
+            });
+        }
+        sim.run_for(Duration::from_millis(1));
+        assert_eq!(group.registered(), 3);
+        group.cancel();
+        assert_eq!(group.registered(), 0, "cancel takes every registration");
+        sim.run();
+        assert_eq!(done.get(), 3);
+        assert_eq!(group.registered(), 0);
+    }
+
+    #[test]
+    fn task_group_cancel_wakes_in_first_registration_order() {
+        let mut sim = Sim::new(1);
+        let ctx = sim.ctx();
+        let group = TaskGroup::new();
+        let order = Rc::new(RefCell::new(Vec::new()));
+        // Both tasks first register at t=0, task 0 first. A reset at t=2ms
+        // empties the map; task 1 re-polls first (t=3ms) and task 0 second
+        // (t=4ms), so the new epoch's order is [1, 0]. The re-polls at
+        // t=1ms (task 1) and t=6ms (task 0) update entries in place and
+        // must not move them.
+        let inner = |ctx: crate::Ctx, wake_at: &'static [u64]| async move {
+            let mut prev = 0;
+            for &at in wake_at {
+                ctx.sleep(Duration::from_millis(at - prev)).await;
+                prev = at;
+            }
+            ctx.sleep(Duration::from_secs(60)).await;
+        };
+        for (i, wake_at) in [(0u32, &[4u64, 6][..]), (1, &[1, 3][..])] {
+            let group = group.clone();
+            let order = order.clone();
+            let fut = inner(ctx.clone(), wake_at);
+            ctx.spawn(async move {
+                assert_eq!(group.run(fut).await, Err(Cancelled));
+                order.borrow_mut().push(i);
+            });
+        }
+        sim.run_for(Duration::from_millis(2));
+        assert_eq!(group.registered(), 2);
+        group.reset();
+        assert_eq!(group.registered(), 0, "reset clears the map");
+        sim.run_for(Duration::from_millis(8));
+        assert_eq!(group.registered(), 2, "re-polls re-register");
+        group.cancel();
+        sim.run();
+        assert_eq!(*order.borrow(), vec![1, 0]);
+        assert_eq!(group.registered(), 0);
+    }
+
+    #[test]
+    fn task_group_cancel_polls_a_nested_task_once() {
+        let mut sim = Sim::new(1);
+        let ctx = sim.ctx();
+        let group = TaskGroup::new();
+        // Two nested runs of one group in one task: both register, and the
+        // outer one stays registered after the inner one completes.
+        let observed = Rc::new(Cell::new(false));
+        {
+            let group = group.clone();
+            let ctx2 = ctx.clone();
+            let observed = observed.clone();
+            ctx.spawn(async move {
+                let nested = {
+                    let group = group.clone();
+                    let ctx3 = ctx2.clone();
+                    async move {
+                        let _ = group.run(ctx3.sleep(Duration::from_millis(2))).await;
+                        let _ = group.run(ctx3.sleep(Duration::from_secs(60))).await;
+                    }
+                };
+                assert_eq!(group.run(nested).await, Err(Cancelled));
+                observed.set(true);
+                // Stay alive past the cancel so a second wake would poll.
+                ctx2.sleep(Duration::from_millis(1)).await;
+            });
+        }
+        sim.run_for(Duration::from_millis(1));
+        assert_eq!(group.registered(), 2, "no dedupe at registration");
+        sim.run_for(Duration::from_millis(2));
+        assert_eq!(group.registered(), 2, "outer run still registered");
+        let before = sim.poll_count();
+        group.cancel();
+        sim.run();
+        assert!(observed.get());
+        // One poll for the cancel, one for the trailing sleep.
+        assert_eq!(sim.poll_count() - before, 2, "cancel woke the task twice");
     }
 }

@@ -552,9 +552,8 @@ mod tests {
     fn join_handle_try_take_and_await() {
         let mut wall = WallRunner::new(1);
         let ctx = wall.ctx();
-        let ctx2 = ctx.clone();
         let out = wall.block_on(async move {
-            let h = ctx2.spawn(async { 7u32 });
+            let h = ctx.spawn(async { 7u32 });
             assert!(!h.is_finished());
             h.await
         });

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus a bench smoke run.
 #
-# Tier-1 (ROADMAP.md): release build + quiet test suite.
-# Lints: clippy across all targets with warnings denied.
+# Tier-1 (ROADMAP.md): release build + quiet test suite; the root manifest's
+# `default-members` makes both cover every workspace crate.
+# Lints: clippy across the workspace's targets with warnings denied.
 # Bench smoke: runs bench_sim_core at HM_BENCH_SCALE=0.05 (~1 s budget) and
 # asserts it completes and writes parseable JSON with the expected fields.
 # Traced smoke: re-runs with --trace-out and validates the exported
@@ -88,12 +89,12 @@ cargo build --release
 echo "== tier-1: cargo test -q =="
 cargo test -q
 
-echo "== lints: cargo clippy --all-targets -D warnings (+ hot-path clone lints) =="
-cargo clippy -q --all-targets -- -D warnings \
+echo "== lints: cargo clippy --workspace --all-targets -D warnings (+ hot-path clone lints) =="
+cargo clippy -q --workspace --all-targets -- -D warnings \
     -D clippy::redundant_clone -D clippy::needless_pass_by_value
 
-echo "== docs: cargo doc --no-deps -D warnings =="
-RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps
+echo "== docs: cargo doc --workspace --no-deps -D warnings =="
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 
 echo "== bench smoke: bench_sim_core @ HM_BENCH_SCALE=0.05 =="
 out="$(mktemp -t bench_smoke.XXXXXX.json)"
@@ -111,7 +112,8 @@ int(d["work_fingerprint"], 16)
 assert len(d["components"]) == 14, [c["name"] for c in d["components"]]
 assert any(c["name"] == "recovery_cost" for c in d["components"]), d
 assert any(c["name"] == "latency_anatomy" for c in d["components"]), d
-assert d["schema_version"] == 5, d
+assert d["schema_version"] == 6, d
+assert d["host"]["nproc"] >= 1 and d["host"]["rustc"].startswith("rustc "), d["host"]
 assert any(c["name"] == "model_check" for c in d["components"]), d
 mc = d["model_check"]["cells"]
 assert len(mc) == 5, mc
